@@ -1,7 +1,6 @@
 package analyzer
 
 import (
-	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -83,7 +82,7 @@ func decodeSynopses(in []string) ([]*synopsis.Synopsis, error) {
 			return nil, fmt.Errorf("example synopsis: %w", err)
 		}
 		var s synopsis.Synopsis
-		if err := synopsis.NewDecoder(bytes.NewReader(raw)).Decode(&s); err != nil {
+		if err := synopsis.DecodeRecord(raw, &s); err != nil {
 			return nil, fmt.Errorf("example synopsis: %w", err)
 		}
 		out = append(out, &s)

@@ -207,7 +207,7 @@ func (p *Peer) link(owner string) *stream.Client {
 	if !ok || info.Addr == "" {
 		return nil
 	}
-	nc, err := stream.Dial(info.Addr, p.cfg.FlushEvery, stream.WithProtocol(2))
+	nc, err := stream.Dial(info.Addr, p.cfg.FlushEvery)
 	if err != nil {
 		p.logf("federation: dial forward link to %s (%s): %v", owner, info.Addr, err)
 		return nil

@@ -25,35 +25,27 @@ func TestServerReadIdleTimeoutReapsSilentConns(t *testing.T) {
 	}
 	defer srv.Close()
 
-	active, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	active := helloConn(t, srv.Addr())
 	defer active.Close()
-	silent, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	silent := helloConn(t, srv.Addr())
 	defer silent.Close()
 
-	encS := synopsis.NewEncoder(silent)
-	if err := encS.Encode(syn(1)); err != nil {
-		t.Fatal(err)
+	// send writes one batch frame carrying s on conn.
+	send := func(conn net.Conn, enc *synopsis.BatchEncoder, s *synopsis.Synopsis) error {
+		_, err := conn.Write(enc.AppendFrames(nil, []*synopsis.Synopsis{s}))
+		return err
 	}
-	if err := encS.Flush(); err != nil {
+	if err := send(silent, synopsis.NewBatchEncoder(), syn(1)); err != nil {
 		t.Fatal(err)
 	}
 
 	// The active connection sends a frame every 20 ms: each read refreshes
 	// the deadline, so 15 frames outlive the 60 ms budget five times over.
-	encA := synopsis.NewEncoder(active)
+	encA := synopsis.NewBatchEncoder()
 	const activeFrames = 15
 	for i := 0; i < activeFrames; i++ {
-		if err := encA.Encode(syn(uint64(100 + i))); err != nil {
+		if err := send(active, encA, syn(uint64(100+i))); err != nil {
 			t.Fatalf("active frame %d: %v", i, err)
-		}
-		if err := encA.Flush(); err != nil {
-			t.Fatalf("active flush %d: %v", i, err)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -76,10 +68,7 @@ func TestServerReadIdleTimeoutReapsSilentConns(t *testing.T) {
 	if _, err := silent.Read(make([]byte, 1)); err == nil {
 		t.Fatal("silent connection still open after reap")
 	}
-	if err := encA.Encode(syn(999)); err != nil {
-		t.Fatal(err)
-	}
-	if err := encA.Flush(); err != nil {
+	if err := send(active, encA, syn(999)); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, 5*time.Second, "post-reap frame to arrive", func() bool {

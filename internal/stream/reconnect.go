@@ -152,37 +152,24 @@ func (c *Client) runReconnect() {
 	rng := vtime.NewRNG(rc.Seed)
 	backoff := rc.InitialBackoff
 	var conn net.Conn
-	var enc *synopsis.Encoder // v1 path
-	var w io.Writer           // raw (counted) conn writer, v2 path
-	var benc *synopsis.BatchEncoder
-	var frame []byte     // reusable v2 frame scratch
-	proto := 0           // negotiated version of the live conn, 0 = down
-	v1Latch := false     // peer answered v1 once: stop offering hellos...
-	dials := 0           // ...except every v1ReprobeEvery-th dial (upgrades)
+	var w io.Writer // raw (counted) conn writer
+	benc := synopsis.NewBatchEncoder()
+	var frame []byte // reusable frame scratch
 	var lastInterned uint64
-
-	setProto := func(v int) {
-		proto = v
-		c.mu.Lock()
-		c.proto = v
-		c.mu.Unlock()
-		if m := c.metrics; m != nil {
-			m.ProtocolVersion.Set(float64(v))
-		}
-	}
 
 	dropConn := func() {
 		if conn != nil {
 			_ = conn.Close()
-			conn, enc, w = nil, nil, nil
-			setProto(0)
+			conn, w = nil, nil
+			if m := c.metrics; m != nil {
+				m.ProtocolVersion.Set(0)
+			}
 		}
 	}
 	defer dropConn()
 
-	// connect performs one dial attempt, negotiates the wire protocol and
-	// wires the encoder. The hello is skipped while the peer is latched as
-	// v1, with a periodic reprobe so a server upgrade is eventually noticed.
+	// connect performs one dial attempt, exchanges the hello and resets
+	// the batch encoder for the fresh connection.
 	connect := func() bool {
 		fail := func(nc net.Conn, err error) bool {
 			if nc != nil {
@@ -198,53 +185,26 @@ func (c *Client) runReconnect() {
 		if err != nil {
 			return fail(nil, err)
 		}
-		dials++
-		ver := synopsis.ProtocolV1
-		if c.protoMax >= synopsis.ProtocolV2 && (!v1Latch || dials%v1ReprobeEvery == 0) {
-			v, nerr := negotiate(nc, c.protoMax, c.dialTimeout)
-			switch {
-			case nerr == nil:
-				ver = v
-				v1Latch = ver < synopsis.ProtocolV2
-			case peerSpeaksV1(nerr):
-				// Legacy server: it already dropped the connection on the
-				// hello bytes, so redial and speak plain v1 from byte one.
-				v1Latch = true
-				_ = nc.Close()
-				if nc, err = net.DialTimeout("tcp", c.addr, c.dialTimeout); err != nil {
-					return fail(nil, err)
-				}
-			default:
-				return fail(nc, nerr)
-			}
+		ver, err := negotiate(nc, c.dialTimeout)
+		if err != nil {
+			return fail(nc, err)
 		}
+		conn = nc
+		w = io.Writer(conn)
 		if m := c.metrics; m != nil {
 			m.Dials.Inc()
 			if c.everConnected {
 				m.Reconnects.Inc()
 			}
+			m.ProtocolVersion.Set(float64(ver))
+			w = countingWriter{w: conn, c: m.BytesSent}
 		}
 		c.everConnected = true
 		backoff = rc.InitialBackoff
-		conn = nc
-		w = io.Writer(conn)
-		if m := c.metrics; m != nil {
-			w = countingWriter{w: conn, c: m.BytesSent}
-		}
-		if ver >= synopsis.ProtocolV2 {
-			// Fresh connection ⇒ the server's intern table is empty too:
-			// reset ours so every group is redefined inline in lockstep.
-			if benc == nil {
-				benc = synopsis.NewBatchEncoder()
-			} else {
-				benc.Reset()
-			}
-			lastInterned = benc.InternedRefs()
-			enc = nil
-		} else {
-			enc = synopsis.NewEncoder(w)
-		}
-		setProto(ver)
+		// Fresh connection ⇒ the server's intern table is empty too: reset
+		// ours so every group is redefined inline in lockstep.
+		benc.Reset()
+		lastInterned = benc.InternedRefs()
 		// Death probe: the synopsis protocol is strictly one-way after the
 		// hello ack (already consumed above), so a returning Read means the
 		// analyzer hung up (FIN/RST). Closing the connection here makes the
@@ -284,18 +244,16 @@ func (c *Client) runReconnect() {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		target := rc.BatchSize
-		if proto >= synopsis.ProtocolV2 {
-			// Load-responsive drain: a deep ring (post-outage backlog) is
-			// flushed in larger frames so the catch-up amortizes framing
-			// and write syscalls, bounded by the protocol's frame limit.
-			if depth := c.ring.len(); depth > 4*rc.BatchSize {
-				target = depth
-				if max := 8 * rc.BatchSize; target > max {
-					target = max
-				}
-				if target > synopsis.MaxBatchRecords {
-					target = synopsis.MaxBatchRecords
-				}
+		// Load-responsive drain: a deep ring (post-outage backlog) is
+		// flushed in larger frames so the catch-up amortizes framing and
+		// write syscalls, bounded by the protocol's frame limit.
+		if depth := c.ring.len(); depth > 4*rc.BatchSize {
+			target = depth
+			if max := 8 * rc.BatchSize; target > max {
+				target = max
+			}
+			if target > synopsis.MaxBatchRecords {
+				target = synopsis.MaxBatchRecords
 			}
 		}
 		return c.ring.popBatch(target)
@@ -315,48 +273,27 @@ func (c *Client) runReconnect() {
 		if c.writeTimeout > 0 {
 			_ = conn.SetWriteDeadline(time.Now().Add(c.writeTimeout))
 		}
-		var err error
-		if proto >= synopsis.ProtocolV2 {
-			now := time.Now().UnixNano()
-			for _, s := range batch {
-				if sp := s.Trace; sp != nil {
-					// Stamp (and on replay re-stamp) Send at the encode
-					// that actually reaches the wire, so Send-Emit includes
-					// the spill-ring dwell across an outage.
-					sp.Send = now
+		now := time.Now().UnixNano()
+		for _, s := range batch {
+			if sp := s.Trace; sp != nil {
+				// Stamp (and on replay re-stamp) Send at the encode that
+				// actually reaches the wire, so Send-Emit includes the
+				// spill-ring dwell across an outage.
+				sp.Send = now
+			}
+		}
+		frame = benc.AppendFrames(frame[:0], batch)
+		_, err := w.Write(frame)
+		if err == nil {
+			if m := c.metrics; m != nil {
+				m.FramesSent.Add(uint64(len(batch)))
+				m.BatchRecords.Observe(float64(len(batch)))
+				if refs := benc.InternedRefs(); refs > lastInterned {
+					m.InternedHeaders.Add(refs - lastInterned)
+					lastInterned = refs
 				}
 			}
-			frame = benc.AppendFrames(frame[:0], batch)
-			_, err = w.Write(frame)
-			if err == nil {
-				if m := c.metrics; m != nil {
-					m.FramesSent.Add(uint64(len(batch)))
-					m.BatchRecords.Observe(float64(len(batch)))
-					if refs := benc.InternedRefs(); refs > lastInterned {
-						m.InternedHeaders.Add(refs - lastInterned)
-						lastInterned = refs
-					}
-				}
-				return
-			}
-		} else {
-			for _, s := range batch {
-				if sp := s.Trace; sp != nil {
-					sp.Send = time.Now().UnixNano()
-				}
-				if err = enc.Encode(s); err != nil {
-					break
-				}
-			}
-			if err == nil {
-				err = enc.Flush()
-			}
-			if err == nil {
-				if m := c.metrics; m != nil {
-					m.FramesSent.Add(uint64(len(batch)))
-				}
-				return
-			}
+			return
 		}
 		c.setErr(err)
 		if m := c.metrics; m != nil {

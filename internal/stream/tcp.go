@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"syscall"
 	"time"
 
 	"saad/internal/metrics"
@@ -37,15 +36,8 @@ const (
 	maxDirectBatch     = 2048
 )
 
-// v1ReprobeEvery is how often a reconnecting client that latched a v1 peer
-// re-attempts the hello (every Nth dial): a legacy analyzer replaced by an
-// upgraded one is re-detected within a few reconnects, while the steady
-// v1 cost stays one wasted probe connection per N dials.
-const v1ReprobeEvery = 16
-
 // countingWriter charges bytes written to a counter; it wraps the client
-// connection below the encoder's bufio layer, so it observes flushed wire
-// bytes, not buffered user-space bytes.
+// connection, so it observes wire bytes, not the pending batch.
 type countingWriter struct {
 	w io.Writer
 	c *metrics.Counter
@@ -70,9 +62,9 @@ func (cr countingReader) Read(p []byte) (int, error) {
 }
 
 // Client streams synopses to a remote analyzer over TCP using the compact
-// binary codec. It implements tracker.Sink. Emit never blocks on the
-// network beyond the kernel send buffer plus the encoder's user-space
-// buffer, because a monitoring layer must not take the server down with it.
+// batched wire protocol. It implements tracker.Sink. Emit never blocks on
+// the network beyond the kernel send buffer plus the pending batch,
+// because a monitoring layer must not take the server down with it.
 //
 // Without WithReconnect the client latches the first transport error and
 // drops (and counts) every subsequent emit. With WithReconnect the client
@@ -87,19 +79,13 @@ type Client struct {
 	writeTimeout time.Duration
 	metrics      *metrics.TCPClientMetrics
 
-	// protoMax caps the negotiated wire protocol (WithProtocol); 1 selects
-	// the legacy framing with no hello.
-	protoMax int
-
 	mu     sync.Mutex
 	conn   net.Conn // direct mode only; the reconnect supervisor owns its own
-	enc    *synopsis.Encoder
 	err    error
 	closed bool
 
-	// Direct-mode v2 state: records pend in a batch and are flushed by
-	// size trigger, the background flush tick, or Close.
-	proto        int // negotiated protocol of the live connection (0 = none)
+	// Direct-mode state: records pend in a batch and are flushed by size
+	// trigger, the background flush tick, or Close.
 	w            io.Writer
 	benc         *synopsis.BatchEncoder
 	pending      []*synopsis.Synopsis
@@ -148,19 +134,6 @@ func WithWriteTimeout(d time.Duration) ClientOption {
 	}
 }
 
-// WithProtocol caps the wire protocol version the client negotiates
-// (default synopsis.MaxProtocolVersion). WithProtocol(1) speaks the legacy
-// per-record framing and sends no hello — byte-identical on the wire to a
-// pre-v2 client, which is what the interop tests (and genuinely old
-// analyzers) rely on.
-func WithProtocol(v int) ClientOption {
-	return func(c *Client) {
-		if v >= synopsis.ProtocolV1 && v <= synopsis.MaxProtocolVersion {
-			c.protoMax = v
-		}
-	}
-}
-
 // WithReconnect makes the client self-healing (see Client). The zero
 // ReconnectConfig selects the documented defaults. With reconnect enabled,
 // Dial returns immediately without a synchronous connection attempt: the
@@ -170,17 +143,17 @@ func WithReconnect(cfg ReconnectConfig) ClientOption {
 	return func(c *Client) { c.reconnect = cfg.withDefaults() }
 }
 
-// Dial connects to a synopsis server at addr. flushEvery bounds how long a
-// synopsis may sit in the user-space buffer (0 disables the background
-// flusher; Close still flushes). In reconnect mode delivery is batched and
-// flushed per batch, and flushEvery is ignored.
+// Dial connects to a synopsis server at addr and exchanges the hello.
+// flushEvery bounds how long a synopsis may sit in the pending batch (0
+// disables the background flusher; Close still flushes). In reconnect
+// mode delivery is batched and flushed per batch, and flushEvery is
+// ignored.
 func Dial(addr string, flushEvery time.Duration, opts ...ClientOption) (*Client, error) {
 	c := &Client{
 		addr:         addr,
 		flushEvery:   flushEvery,
 		dialTimeout:  DefaultDialTimeout,
 		writeTimeout: DefaultWriteTimeout,
-		protoMax:     synopsis.MaxProtocolVersion,
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
 	}
@@ -201,27 +174,12 @@ func Dial(addr string, flushEvery time.Duration, opts ...ClientOption) (*Client,
 	if err != nil {
 		return nil, fmt.Errorf("stream: dial %s: %w", addr, err)
 	}
-	ver := synopsis.ProtocolV1
-	if c.protoMax >= synopsis.ProtocolV2 {
-		v, nerr := negotiate(conn, c.protoMax, c.dialTimeout)
-		switch {
-		case nerr == nil:
-			ver = v
-		case peerSpeaksV1(nerr):
-			// Legacy analyzer: it read the hello magic as an oversized v1
-			// record and hung up. Redial speaking v1.
-			_ = conn.Close()
-			conn, err = net.DialTimeout("tcp", addr, c.dialTimeout)
-			if err != nil {
-				return nil, fmt.Errorf("stream: redial %s as v1: %w", addr, err)
-			}
-		default:
-			_ = conn.Close()
-			return nil, fmt.Errorf("stream: negotiate %s: %w", addr, nerr)
-		}
+	ver, err := negotiate(conn, c.dialTimeout)
+	if err != nil {
+		_ = conn.Close()
+		return nil, fmt.Errorf("stream: negotiate %s: %w", addr, err)
 	}
 	c.conn = conn
-	c.proto = ver
 	w := io.Writer(conn)
 	if m := c.metrics; m != nil {
 		m.Dials.Inc()
@@ -229,26 +187,14 @@ func Dial(addr string, flushEvery time.Duration, opts ...ClientOption) (*Client,
 		w = countingWriter{w: conn, c: m.BytesSent}
 	}
 	c.w = w
-	if ver >= synopsis.ProtocolV2 {
-		c.benc = synopsis.NewBatchEncoder()
-		c.batchTarget = initialDirectBatch
-	} else {
-		c.enc = synopsis.NewEncoder(w)
-	}
+	c.benc = synopsis.NewBatchEncoder()
+	c.batchTarget = initialDirectBatch
 	if flushEvery > 0 {
 		go c.flushLoop(flushEvery)
 	} else {
 		close(c.done)
 	}
 	return c, nil
-}
-
-// Protocol returns the wire protocol version of the live connection (0
-// while a reconnecting client is between connections).
-func (c *Client) Protocol() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.proto
 }
 
 // connByteReader adapts a net.Conn to io.ByteReader for the hello ack —
@@ -267,31 +213,16 @@ func (r connByteReader) ReadByte() (byte, error) {
 // negotiate performs the client half of the hello exchange on nc: write
 // the hello, read the ack, return the version the server chose. The whole
 // exchange is bounded by timeout.
-func negotiate(nc net.Conn, maxVer int, timeout time.Duration) (int, error) {
+func negotiate(nc net.Conn, timeout time.Duration) (int, error) {
 	if timeout > 0 {
 		_ = nc.SetDeadline(time.Now().Add(timeout))
 		defer func() { _ = nc.SetDeadline(time.Time{}) }()
 	}
 	var hb [16]byte
-	if _, err := nc.Write(synopsis.AppendHello(hb[:0], maxVer)); err != nil {
+	if _, err := nc.Write(synopsis.AppendHello(hb[:0], synopsis.MaxProtocolVersion)); err != nil {
 		return 0, err
 	}
 	return synopsis.ReadHelloAck(connByteReader{c: nc})
-}
-
-// peerSpeaksV1 classifies a failed hello exchange. A pre-v2 server reads
-// the hello magic as an oversized record length and drops the connection
-// immediately, surfacing here as an EOF or reset — the deterministic
-// downgrade signal. A timeout or any other transport error is NOT a
-// downgrade signal: the peer's version is unknown, so the caller should
-// treat it as an ordinary connection failure and retry.
-func peerSpeaksV1(err error) bool {
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		return false
-	}
-	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
 }
 
 func (c *Client) flushLoop(every time.Duration) {
@@ -303,20 +234,12 @@ func (c *Client) flushLoop(every time.Duration) {
 		case <-ticker.C:
 			c.mu.Lock()
 			if c.err == nil && !c.closed {
-				if c.benc != nil {
-					// Latency trigger: ship whatever pended since the last
-					// tick, and shrink the size target when load is light.
-					underfilled := len(c.pending) < c.batchTarget/4
-					c.flushPendingLocked()
-					if underfilled && c.batchTarget > minDirectBatch {
-						c.batchTarget /= 2
-					}
-				} else {
-					c.armWriteDeadline()
-					c.err = c.enc.Flush()
-					if m := c.metrics; m != nil && c.err != nil {
-						m.Errors.Inc()
-					}
+				// Latency trigger: ship whatever pended since the last
+				// tick, and shrink the size target when load is light.
+				underfilled := len(c.pending) < c.batchTarget/4
+				c.flushPendingLocked()
+				if underfilled && c.batchTarget > minDirectBatch {
+					c.batchTarget /= 2
 				}
 			}
 			c.mu.Unlock()
@@ -364,37 +287,22 @@ func (c *Client) Emit(s *synopsis.Synopsis) {
 		}
 		return
 	}
-	if c.benc != nil {
-		// v2 direct mode: pend into the adaptive batch; the size trigger
-		// flushes a full batch, the background tick bounds latency.
-		c.pending = append(c.pending, s)
-		if len(c.pending) >= c.batchTarget {
-			c.flushPendingLocked()
-			if c.err == nil && c.batchTarget < maxDirectBatch {
-				c.batchTarget *= 2 // size-triggered: load supports bigger batches
-			}
-		}
-		return
-	}
-	c.armWriteDeadline()
-	if sp := s.Trace; sp != nil {
-		sp.Send = time.Now().UnixNano()
-	}
-	c.err = c.enc.Encode(s)
-	if m := c.metrics; m != nil {
-		if c.err != nil {
-			m.Errors.Inc()
-		} else {
-			m.FramesSent.Inc()
+	// Direct mode: pend into the adaptive batch; the size trigger flushes
+	// a full batch, the background tick bounds latency.
+	c.pending = append(c.pending, s)
+	if len(c.pending) >= c.batchTarget {
+		c.flushPendingLocked()
+		if c.err == nil && c.batchTarget < maxDirectBatch {
+			c.batchTarget *= 2 // size-triggered: load supports bigger batches
 		}
 	}
 }
 
 // flushPendingLocked encodes the pending direct-mode batch as v2 frames
 // and writes them to the connection. Callers hold c.mu. On a write error
-// the pending records are dropped and counted — the direct-mode contract
-// (first transport error latches, every Emit lands in FramesSent or
-// FramesDropped) is unchanged from v1.
+// the pending records are dropped and counted — the direct-mode contract:
+// the first transport error latches, and every Emit lands in FramesSent or
+// FramesDropped.
 func (c *Client) flushPendingLocked() {
 	if len(c.pending) == 0 || c.err != nil {
 		return
@@ -435,10 +343,9 @@ func (c *Client) flushPendingLocked() {
 	}
 }
 
-// Flush pushes everything buffered so far onto the wire: the v2 pending
-// batch (direct mode) or the encoder's user-space buffer. A delivery
-// barrier for callers that need bounded handoff latency — the federation
-// forward path uses it before control-plane transitions. In reconnect
+// Flush pushes the pending batch onto the wire. A delivery barrier for
+// callers that need bounded handoff latency — the federation forward path
+// uses it before control-plane transitions. In reconnect
 // mode delivery is the supervisor's business and Flush is a no-op.
 func (c *Client) Flush() error {
 	c.mu.Lock()
@@ -446,15 +353,7 @@ func (c *Client) Flush() error {
 	if c.ring != nil || c.closed || c.err != nil {
 		return c.err
 	}
-	if c.benc != nil {
-		c.flushPendingLocked()
-		return c.err
-	}
-	c.armWriteDeadline()
-	c.err = c.enc.Flush()
-	if m := c.metrics; m != nil && c.err != nil {
-		m.Errors.Inc()
-	}
+	c.flushPendingLocked()
 	return c.err
 }
 
@@ -519,19 +418,12 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	var flushErr error
-	if c.benc != nil {
-		c.flushPendingLocked()
-		flushErr = c.err
-	} else {
-		c.armWriteDeadline()
-		flushErr = c.enc.Flush()
-	}
+	c.flushPendingLocked()
+	flushErr := c.err
 	closeErr := c.conn.Close()
 	if m := c.metrics; m != nil {
 		m.ProtocolVersion.Set(0)
 	}
-	c.proto = 0
 	c.mu.Unlock()
 
 	close(c.stop)
@@ -560,11 +452,6 @@ type Server struct {
 	sampler  *trace.Sampler
 	readIdle time.Duration
 
-	// protoMax caps the protocol the server negotiates
-	// (WithServerProtocol); 1 reproduces a pre-v2 server exactly — no
-	// hello peek, so a v2 client's hello is rejected as an oversized
-	// record and the client downgrades.
-	protoMax int
 	// pool, when set, recycles decoded synopses: the handler draws each
 	// record's synopsis from the pool and the sink (an engine built
 	// WithSynopsisRelease) returns it after detection — the zero-alloc
@@ -605,9 +492,8 @@ func WithServerMetrics(m *metrics.TCPServerMetrics) ServerOption {
 // WithServerSampler originates pipeline spans at the receive boundary for
 // arrivals that do not already carry one: 1 in N untraced frames gets a
 // span stamped at Recv, so an analyzer can measure its own share
-// (queue wait + detect) even when trackers are old peers that never heard
-// of tracing. Frames that arrive with a span keep it regardless of the
-// sampler.
+// (queue wait + detect) even when trackers do not sample. Frames that
+// arrive with a span keep it regardless of the sampler.
 func WithServerSampler(sp *trace.Sampler) ServerOption {
 	return func(s *Server) { s.sampler = sp }
 }
@@ -628,16 +514,12 @@ func WithReadIdleTimeout(d time.Duration) ServerOption {
 	}
 }
 
-// WithServerProtocol caps the wire protocol version the server negotiates
-// (default synopsis.MaxProtocolVersion). WithServerProtocol(1) reproduces
-// a pre-v2 server byte-for-byte: no hello detection, v2 clients are
-// rejected into their v1 fallback.
-func WithServerProtocol(v int) ServerOption {
-	return func(s *Server) {
-		if v >= synopsis.ProtocolV1 && v <= synopsis.MaxProtocolVersion {
-			s.protoMax = v
-		}
-	}
+// WithServerProtocol does nothing: the server speaks the one protocol
+// there is.
+//
+// Deprecated: v2 is the only wire protocol; drop the option.
+func WithServerProtocol(int) ServerOption {
+	return func(*Server) {}
 }
 
 // WithServerPool recycles decoded synopses through p. Pair it with an
@@ -669,7 +551,6 @@ func NewServer(ln net.Listener, sink tracker.Sink, opts ...ServerOption) *Server
 		sink:     sink,
 		conns:    make(map[net.Conn]struct{}),
 		connVers: make(map[net.Conn]int),
-		protoMax: synopsis.MaxProtocolVersion,
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -797,37 +678,27 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	br := bufio.NewReaderSize(r, 64<<10)
 
-	ver := synopsis.ProtocolV1
-	if s.protoMax >= synopsis.ProtocolV2 {
-		if s.readIdle > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.readIdle))
-		}
-		maxVer, isHello, err := synopsis.PeekHello(br)
-		if err != nil {
-			s.classifyReadErr(err)
-			return
-		}
-		if isHello {
-			if maxVer > s.protoMax {
-				maxVer = s.protoMax
-			}
-			ver = maxVer
-			_ = conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
-			var ab [16]byte
-			if _, err := conn.Write(synopsis.AppendHelloAck(ab[:0], ver)); err != nil {
-				if m != nil {
-					m.ConnErrors.Inc()
-				}
-				return
-			}
-			// The ack is the server's only write, ever: v2 stays strictly
-			// one-way after the handshake, so the client death probe keeps
-			// working (any later inbound byte still means "server gone").
-		}
-		// No hello: a v1 client; the peeked bytes stay buffered for the
-		// legacy decoder, and the server never writes — exactly the old
-		// wire contract.
+	if s.readIdle > 0 {
+		_ = conn.SetReadDeadline(time.Now().Add(s.readIdle))
 	}
+	// A stream without a hello, or with one offering a version below 2, is
+	// a protocol error: classifyReadErr counts it in ConnErrors.
+	ver, err := synopsis.PeekHello(br)
+	if err != nil {
+		s.classifyReadErr(err)
+		return
+	}
+	_ = conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
+	var ab [16]byte
+	if _, err := conn.Write(synopsis.AppendHelloAck(ab[:0], ver)); err != nil {
+		if m != nil {
+			m.ConnErrors.Inc()
+		}
+		return
+	}
+	// The ack is the server's only write, ever: the stream stays strictly
+	// one-way after the handshake, so the client death probe keeps working
+	// (any later inbound byte still means "server gone").
 	s.mu.Lock()
 	s.connVers[conn] = ver
 	s.verCounts[ver]++
@@ -835,11 +706,7 @@ func (s *Server) handle(conn net.Conn) {
 	if m != nil {
 		m.ProtocolConnections.With(strconv.Itoa(ver)).Inc()
 	}
-	if ver >= synopsis.ProtocolV2 {
-		s.serveV2(conn, br)
-		return
-	}
-	s.serveV1(conn, br)
+	s.serveV2(conn, br)
 }
 
 // connRefill is the per-connection free-list chunk size: the receive loop
@@ -885,31 +752,6 @@ func (c *connPool) release() {
 	}
 	c.shared.PutN(c.local[c.next:])
 	c.local = nil
-}
-
-// serveV1 is the legacy per-record receive loop.
-func (s *Server) serveV1(conn net.Conn, br *bufio.Reader) {
-	m := s.metrics
-	dec := synopsis.NewDecoder(br)
-	free := newConnPool(s.pool)
-	defer free.release()
-	for {
-		if s.readIdle > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.readIdle))
-		}
-		syn := free.get()
-		if err := dec.Decode(syn); err != nil {
-			s.classifyReadErr(err)
-			return
-		}
-		if m != nil {
-			m.FramesReceived.Inc()
-		}
-		s.stampRecv(syn)
-		if s.sink != nil {
-			s.sink.Emit(syn)
-		}
-	}
 }
 
 // serveV2 is the batched receive loop: records decode into pool-drawn

@@ -11,6 +11,22 @@ import (
 	"saad/internal/vtime"
 )
 
+// helloConn dials addr over plain TCP and completes the client hello, so
+// a test can then write raw batch frames; the ack is consumed so a later
+// Read on the connection only sees the server hanging up.
+func helloConn(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := negotiate(conn, 5*time.Second); err != nil {
+		_ = conn.Close()
+		t.Fatal(err)
+	}
+	return conn
+}
+
 // waitUntil polls cond until it holds or the deadline passes.
 func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
@@ -193,9 +209,9 @@ func TestReconnectSpillOverflowAccounting(t *testing.T) {
 }
 
 // TestServerSurvivesMalformedFrames drives the listener through a table of
-// corrupt and truncated frames; after each one the listener and a
-// well-behaved connection must still work, and the protocol error must be
-// counted.
+// corrupt and truncated frames, and of streams that skip the hello or offer
+// only version 1; after each one the listener and a well-behaved connection
+// must still work, and the protocol error must be counted exactly once.
 func TestServerSurvivesMalformedFrames(t *testing.T) {
 	appendUvarints := func(vals ...uint64) []byte {
 		var b []byte
@@ -204,11 +220,14 @@ func TestServerSurvivesMalformedFrames(t *testing.T) {
 		}
 		return b
 	}
-	validRecord := synopsis.AppendRecord(nil, syn(1))
+	validFrame := synopsis.NewBatchEncoder().AppendFrames(nil, []*synopsis.Synopsis{syn(1)})
 
 	cases := []struct {
 		name    string
 		payload []byte
+		// noHello sends payload as the stream's first bytes; otherwise it
+		// follows a completed hello exchange.
+		noHello bool
 		// extraFrames is how many well-formed frames precede the garbage
 		// and must still be delivered.
 		extraFrames uint64
@@ -217,10 +236,14 @@ func TestServerSurvivesMalformedFrames(t *testing.T) {
 		{name: "unterminated-length-varint", payload: []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}},
 		{name: "truncated-body", payload: appendUvarints(100, 1, 2, 3)},
 		{name: "point-count-exceeds-body", payload: func() []byte {
-			body := appendUvarints(1, 1, 1, 1, 1, 1<<40)
+			// kind=batch, one record: inline group, task, start, duration,
+			// then an absurd point count.
+			body := append([]byte{1}, appendUvarints(1, 0, 1, 1, 1, 1, 1, 1<<40)...)
 			return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
 		}()},
-		{name: "garbage-after-valid-frame", payload: append(append([]byte{}, validRecord...), 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f), extraFrames: 1},
+		{name: "garbage-after-valid-frame", payload: append(append([]byte{}, validFrame...), 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f), extraFrames: 1},
+		{name: "no-hello-v1-record", payload: synopsis.AppendRecord(nil, syn(1)), noHello: true},
+		{name: "hello-version-1", payload: synopsis.AppendHello(nil, 1), noHello: true},
 	}
 
 	for _, tc := range cases {
@@ -234,9 +257,13 @@ func TestServerSurvivesMalformedFrames(t *testing.T) {
 			}
 			defer srv.Close()
 
-			conn, err := net.Dial("tcp", srv.Addr())
-			if err != nil {
-				t.Fatal(err)
+			var conn net.Conn
+			if tc.noHello {
+				if conn, err = net.Dial("tcp", srv.Addr()); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				conn = helloConn(t, srv.Addr())
 			}
 			if _, err := conn.Write(tc.payload); err != nil {
 				t.Fatal(err)
@@ -247,6 +274,9 @@ func TestServerSurvivesMalformedFrames(t *testing.T) {
 			waitUntil(t, 10*time.Second, "protocol error to be counted", func() bool {
 				return sm.ConnErrors.Value() == 1
 			})
+			if ce := sm.ConnErrors.Value(); ce != 1 {
+				t.Fatalf("ConnErrors = %d, want exactly 1", ce)
+			}
 			if fr := sm.FramesReceived.Value(); fr != tc.extraFrames {
 				t.Fatalf("FramesReceived = %d, want %d", fr, tc.extraFrames)
 			}
@@ -263,9 +293,11 @@ func TestServerSurvivesMalformedFrames(t *testing.T) {
 			waitUntil(t, 10*time.Second, "well-behaved frame after garbage", func() bool {
 				return got.Emitted() >= tc.extraFrames+1
 			})
-			if o := sm.OpenConnections.Value(); o != 0 {
-				t.Fatalf("OpenConnections = %v, want 0", o)
-			}
+			// The well-behaved client's handler retires once it reads the
+			// client's FIN, which can trail the delivered frame.
+			waitUntil(t, 10*time.Second, "every connection handler to retire", func() bool {
+				return sm.OpenConnections.Value() == 0
+			})
 		})
 	}
 }

@@ -1,7 +1,6 @@
 package synopsis
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -18,14 +17,15 @@ import (
 // reports ~48 bytes average for its Java encoding; the volume comparison in
 // Figure 8 hinges on this compactness.
 //
-// Frame extensions: after the fixed fields and the point list, a record may
+// Record extensions: after the fixed fields and the point list, a record may
 // carry zero or more trailing extensions, each a uvarint extension id, a
 // uvarint payload length, and the payload. Decoders skip extensions they do
-// not understand, and pre-extension decoders (which stop reading after the
-// point list) ignore the trailing bytes entirely — this is how the trace
-// extension stays backward compatible per connection without any handshake:
-// only sampled synopses pay the extra bytes, and old peers still decode
-// every frame.
+// not understand, so a record can grow new optional fields without a format
+// version: only synopses that carry an extension pay its bytes.
+//
+// The wire carries records in batch frames instead (wire.go). This framing
+// is the armor for example synopses in checkpoints, and EncodedSize is the
+// per-synopsis size Figure 8 measures.
 
 // extTrace carries the sampled pipeline span's origin timestamps: uvarint
 // Emit then uvarint Send, both unix nanoseconds (0 = not stamped).
@@ -139,83 +139,28 @@ func EncodedSize(s *Synopsis) int {
 	return uvarintLen(uint64(b)) + b
 }
 
-// Encoder writes length-prefixed synopsis records to an io.Writer.
-// Construct with NewEncoder; call Flush (or Close on the underlying sink)
-// when done. Encoder is not safe for concurrent use.
-type Encoder struct {
-	w   *bufio.Writer
-	buf []byte
-	n   int64
-}
-
-// NewEncoder returns an encoder writing to w.
-func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{w: bufio.NewWriter(w)}
-}
-
-// Encode writes one record.
+// DecodeRecord decodes the single length-prefixed record that makes up buf
+// into s, reusing s.Points. The record must fill buf exactly: a short
+// buffer is io.ErrUnexpectedEOF, and bytes after the record are an error,
+// so a checkpoint's armored example cannot carry unnoticed garbage.
 //
 //saad:hotpath
-func (e *Encoder) Encode(s *Synopsis) error {
-	e.buf = AppendRecord(e.buf[:0], s)
-	n, err := e.w.Write(e.buf)
-	e.n += int64(n)
-	if err != nil {
-		return fmt.Errorf("synopsis: write record: %w", err)
-	}
-	return nil
-}
-
-// Flush flushes buffered records to the underlying writer.
-func (e *Encoder) Flush() error {
-	if err := e.w.Flush(); err != nil {
-		return fmt.Errorf("synopsis: flush: %w", err)
-	}
-	return nil
-}
-
-// BytesWritten returns the total bytes produced so far (pre-flush bytes
-// included).
-func (e *Encoder) BytesWritten() int64 { return e.n }
-
-// Decoder reads length-prefixed synopsis records from an io.Reader.
-// Decoder is not safe for concurrent use.
-type Decoder struct {
-	r   *bufio.Reader
-	buf []byte
-}
-
-// NewDecoder returns a decoder reading from r.
-func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{r: bufio.NewReader(r)}
-}
-
-// Decode reads the next record into s. It returns io.EOF at a clean end of
-// stream and io.ErrUnexpectedEOF for a truncated record.
-//
-//saad:hotpath
-func (d *Decoder) Decode(s *Synopsis) error {
-	size, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return io.EOF
-		}
-		return fmt.Errorf("synopsis: read length: %w", err)
+func DecodeRecord(buf []byte, s *Synopsis) error {
+	size, n := binary.Uvarint(buf)
+	if n <= 0 {
+		return fmt.Errorf("synopsis: read length: %w", io.ErrUnexpectedEOF)
 	}
 	if size > maxRecordSize {
 		return fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, size)
 	}
-	if cap(d.buf) < int(size) {
-		d.buf = make([]byte, size)
+	body := buf[n:]
+	if uint64(len(body)) < size {
+		return fmt.Errorf("synopsis: record body %d of %d bytes: %w", len(body), size, io.ErrUnexpectedEOF)
 	}
-	d.buf = d.buf[:size]
-	if _, err := io.ReadFull(d.r, d.buf); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return io.ErrUnexpectedEOF
-		}
-		return fmt.Errorf("synopsis: read body: %w", err)
+	if extra := uint64(len(body)) - size; extra > 0 {
+		return fmt.Errorf("synopsis: %d trailing bytes after record", extra)
 	}
-	return decodeBody(d.buf, s)
+	return decodeBody(body, s)
 }
 
 //saad:hotpath
@@ -279,9 +224,8 @@ func decodeBody(buf []byte, s *Synopsis) error {
 		prev += logpoint.ID(delta)
 		s.Points[i] = PointCount{Point: prev, Count: uint32(count)}
 	}
-	// Trailing frame extensions: skip unknown ids so newer peers can extend
-	// the frame without breaking this decoder, mirroring how pre-extension
-	// decoders ignore these bytes altogether.
+	// Trailing record extensions: skip unknown ids so newer writers can
+	// extend the record without breaking this decoder.
 	for len(buf) > 0 {
 		extID, err := get()
 		if err != nil {
@@ -303,7 +247,7 @@ func decodeBody(buf []byte, s *Synopsis) error {
 	return nil
 }
 
-// applyExtension interprets one trailing frame extension on s. Unknown
+// applyExtension interprets one trailing record extension on s. Unknown
 // extension ids are skipped so newer peers can extend the record without
 // breaking this decoder.
 func applyExtension(s *Synopsis, extID uint64, payload []byte) error {

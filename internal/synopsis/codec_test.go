@@ -1,7 +1,6 @@
 package synopsis
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -30,28 +29,18 @@ func sampleSynopsis(i int) *Synopsis {
 }
 
 func TestCodecRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
 	const n = 1000
+	var got Synopsis // reused across records, as a decoder's caller would
+	var rec []byte
 	for i := 0; i < n; i++ {
-		if err := enc.Encode(sampleSynopsis(i)); err != nil {
-			t.Fatal(err)
+		want := sampleSynopsis(i)
+		rec = AppendRecord(rec[:0], want)
+		if len(rec) != EncodedSize(want) {
+			t.Fatalf("record %d: %d bytes, EncodedSize says %d", i, len(rec), EncodedSize(want))
 		}
-	}
-	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if enc.BytesWritten() != int64(buf.Len()) {
-		t.Fatalf("BytesWritten = %d, buffer has %d", enc.BytesWritten(), buf.Len())
-	}
-
-	dec := NewDecoder(&buf)
-	var got Synopsis
-	for i := 0; i < n; i++ {
-		if err := dec.Decode(&got); err != nil {
+		if err := DecodeRecord(rec, &got); err != nil {
 			t.Fatalf("decode %d: %v", i, err)
 		}
-		want := sampleSynopsis(i)
 		if got.Stage != want.Stage || got.Host != want.Host || got.TaskID != want.TaskID {
 			t.Fatalf("record %d header = %+v, want %+v", i, got, want)
 		}
@@ -70,24 +59,16 @@ func TestCodecRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if err := dec.Decode(&got); !errors.Is(err, io.EOF) {
-		t.Fatalf("expected EOF, got %v", err)
+	if err := DecodeRecord(nil, &got); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("empty buffer: got %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 
 func TestCodecEmptyPoints(t *testing.T) {
 	s := &Synopsis{Stage: 1, TaskID: 9, Start: time.UnixMicro(12345).UTC()}
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	if err := enc.Encode(s); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	var got Synopsis
 	got.Points = []PointCount{{1, 1}} // must be reset by decode
-	if err := NewDecoder(&buf).Decode(&got); err != nil {
+	if err := DecodeRecord(AppendRecord(nil, s), &got); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Points) != 0 {
@@ -114,30 +95,47 @@ func TestCodecCompactness(t *testing.T) {
 }
 
 func TestDecodeTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	if err := enc.Encode(sampleSynopsis(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := AppendRecord(nil, sampleSynopsis(1))
 	for cut := 1; cut < len(full); cut++ {
-		dec := NewDecoder(bytes.NewReader(full[:cut]))
 		var s Synopsis
-		if err := dec.Decode(&s); err == nil {
+		if err := DecodeRecord(full[:cut], &s); err == nil {
 			t.Fatalf("truncation at %d/%d decoded successfully", cut, len(full))
 		}
+	}
+}
+
+// TestDecodeRecordExactLength: a record must fill its buffer exactly, so
+// trailing bytes and a length prefix that disagrees with the body are both
+// rejected rather than silently ignored.
+func TestDecodeRecordExactLength(t *testing.T) {
+	rec := AppendRecord(nil, sampleSynopsis(3))
+	var s Synopsis
+	if err := DecodeRecord(append(append([]byte(nil), rec...), 0x01), &s); err == nil {
+		t.Fatal("trailing byte accepted")
+	}
+	// The prefix is one byte for this record; shrink it by one so the
+	// body's last byte becomes trailing, and grow it by one so the body
+	// comes up short.
+	if rec[0]&0x80 != 0 {
+		t.Fatalf("test record needs a one-byte length prefix, got %#x", rec[0])
+	}
+	short := append([]byte(nil), rec...)
+	short[0]--
+	if err := DecodeRecord(short, &s); err == nil {
+		t.Fatal("length prefix one short of the body accepted")
+	}
+	long := append([]byte(nil), rec...)
+	long[0]++
+	if err := DecodeRecord(long, &s); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("length prefix one past the body: got %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 
 func TestDecodeOversizedRecordRejected(t *testing.T) {
 	var hdr []byte
 	hdr = binary.AppendUvarint(hdr, maxRecordSize+1)
-	dec := NewDecoder(bytes.NewReader(hdr))
 	var s Synopsis
-	if err := dec.Decode(&s); !errors.Is(err, ErrRecordTooLarge) {
+	if err := DecodeRecord(hdr, &s); !errors.Is(err, ErrRecordTooLarge) {
 		t.Fatalf("err = %v, want ErrRecordTooLarge", err)
 	}
 }
@@ -153,7 +151,7 @@ func TestDecodeBogusPointCount(t *testing.T) {
 	rec = binary.AppendUvarint(rec, uint64(len(body)))
 	rec = append(rec, body...)
 	var s Synopsis
-	if err := NewDecoder(bytes.NewReader(rec)).Decode(&s); err == nil {
+	if err := DecodeRecord(rec, &s); err == nil {
 		t.Fatal("bogus point count accepted")
 	}
 }
@@ -176,16 +174,8 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			s.Points = append(s.Points, PointCount{Point: logpoint.ID(p), Count: c})
 		}
 		s.Normalize()
-		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
-		if err := enc.Encode(s); err != nil {
-			return false
-		}
-		if err := enc.Flush(); err != nil {
-			return false
-		}
 		var got Synopsis
-		if err := NewDecoder(&buf).Decode(&got); err != nil {
+		if err := DecodeRecord(AppendRecord(nil, s), &got); err != nil {
 			return false
 		}
 		if got.Stage != s.Stage || got.Host != s.Host || got.TaskID != s.TaskID ||

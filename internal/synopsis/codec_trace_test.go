@@ -1,7 +1,6 @@
 package synopsis
 
 import (
-	"bytes"
 	"encoding/binary"
 	"testing"
 	"time"
@@ -26,25 +25,13 @@ func TestCodecTraceExtensionRoundTrip(t *testing.T) {
 	s := traceTestSyn()
 	s.Trace = &trace.Span{Stage: 3, Host: 9, TaskID: 77, Emit: 1_000_000, Send: 2_000_000}
 
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	if err := enc.Encode(s); err != nil {
-		t.Fatal(err)
-	}
 	// A second, untraced record: decoding it into the same struct must
 	// clear the first record's span.
 	plain := traceTestSyn()
 	plain.TaskID = 78
-	if err := enc.Encode(plain); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
-	}
 
-	dec := NewDecoder(&buf)
 	var got Synopsis
-	if err := dec.Decode(&got); err != nil {
+	if err := DecodeRecord(AppendRecord(nil, s), &got); err != nil {
 		t.Fatal(err)
 	}
 	sp := got.Trace
@@ -60,7 +47,7 @@ func TestCodecTraceExtensionRoundTrip(t *testing.T) {
 	if sp.Recv != 0 || sp.Done != 0 {
 		t.Fatalf("decoder must not invent downstream stamps: %+v", sp)
 	}
-	if err := dec.Decode(&got); err != nil {
+	if err := DecodeRecord(AppendRecord(nil, plain), &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Trace != nil {
@@ -71,10 +58,9 @@ func TestCodecTraceExtensionRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecTraceCostsNothingWhenUnsampled pins the backward-compat /
-// volume property: an unsampled synopsis encodes to exactly the same bytes
-// as before tracing existed (no flags, no placeholder fields), so old and
-// new peers interoperate frame by frame and Figure 8's volume story is
+// TestCodecTraceCostsNothingWhenUnsampled pins the volume property: an
+// unsampled synopsis encodes to exactly the same bytes as before tracing
+// existed (no flags, no placeholder fields), so Figure 8's volume story is
 // untouched for the 1-in-N-complement majority.
 func TestCodecTraceCostsNothingWhenUnsampled(t *testing.T) {
 	s := traceTestSyn()
@@ -90,7 +76,7 @@ func TestCodecTraceCostsNothingWhenUnsampled(t *testing.T) {
 	}
 }
 
-// TestCodecUnknownExtensionSkipped drives the forward-compat path: a frame
+// TestCodecUnknownExtensionSkipped drives the forward-compat path: a record
 // carrying an extension this decoder has never heard of (and then a trace
 // extension after it) decodes fully, proving the extension loop skips
 // unknown ids instead of failing or stopping early.
@@ -118,9 +104,8 @@ func TestCodecUnknownExtensionSkipped(t *testing.T) {
 	rec = binary.AppendUvarint(rec, uint64(len(body)))
 	rec = append(rec, body...)
 
-	dec := NewDecoder(bytes.NewReader(rec))
 	var got Synopsis
-	if err := dec.Decode(&got); err != nil {
+	if err := DecodeRecord(rec, &got); err != nil {
 		t.Fatalf("decode with unknown extension failed: %v", err)
 	}
 	if got.TaskID != 77 || got.Host != 9 {
@@ -143,7 +128,7 @@ func TestCodecUnknownExtensionSkipped(t *testing.T) {
 	var badRec []byte
 	badRec = binary.AppendUvarint(badRec, uint64(len(bad)))
 	badRec = append(badRec, bad...)
-	if err := NewDecoder(bytes.NewReader(badRec)).Decode(&got); err == nil {
+	if err := DecodeRecord(badRec, &got); err == nil {
 		t.Fatal("truncated extension decoded without error")
 	}
 }

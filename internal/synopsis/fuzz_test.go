@@ -45,10 +45,10 @@ func synopsisFromFuzz(stage, host uint16, task uint64, startUs, durUs int64, npt
 	return s
 }
 
-// FuzzRecordRoundTrip drives the same synopsis through both wire formats —
-// a v1 record and a v2 batch (encoded twice, so the second copy exercises
-// the interned-ref path) — and requires byte-exact field equality on every
-// decode.
+// FuzzRecordRoundTrip drives the same synopsis through both encodings — a
+// length-prefixed record and a v2 batch (encoded twice, so the second copy
+// exercises the interned-ref path) — and requires byte-exact field
+// equality on every decode.
 func FuzzRecordRoundTrip(f *testing.F) {
 	f.Add(uint16(1), uint16(2), uint64(3), int64(4), int64(5), uint8(3), uint64(6), false)
 	f.Add(uint16(40), uint16(0), uint64(1<<60), int64(1<<40), int64(77), uint8(0), uint64(9), true)
@@ -56,11 +56,10 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stage, host uint16, task uint64, startUs, durUs int64, npts uint8, ptSeed uint64, traced bool) {
 		want := synopsisFromFuzz(stage, host, task, startUs, durUs, npts, ptSeed, traced)
 
-		// v1: length-prefixed single record.
-		dec := NewDecoder(bytes.NewReader(AppendRecord(nil, want)))
+		// Length-prefixed single record.
 		var got1 Synopsis
-		if err := dec.Decode(&got1); err != nil {
-			t.Fatalf("v1 decode: %v", err)
+		if err := DecodeRecord(AppendRecord(nil, want), &got1); err != nil {
+			t.Fatalf("record decode: %v", err)
 		}
 		assertEqualSynopsis(t, 0, &got1, want)
 
@@ -83,9 +82,10 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzDecodeCorrupt feeds arbitrary bytes to both decoders: they must
-// terminate without panicking and without unbounded allocation, surfacing
-// an error (or clean EOF) in bounded records.
+// FuzzDecodeCorrupt feeds arbitrary bytes to the record decoder, the batch
+// decoder and the hello reader: they must terminate without panicking and
+// without unbounded allocation, surfacing an error (or clean EOF) in
+// bounded records.
 func FuzzDecodeCorrupt(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendRecord(nil, sampleSynopsis(1)))
@@ -95,18 +95,12 @@ func FuzzDecodeCorrupt(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxRecords = 1 << 16
 
-		dec := NewDecoder(bytes.NewReader(data))
 		var s Synopsis
-		for i := 0; ; i++ {
-			if i > maxRecords {
-				t.Fatalf("v1 decoder yielded more than %d records from %d bytes", maxRecords, len(data))
-			}
-			if err := dec.Decode(&s); err != nil {
-				break
-			}
-			if len(s.Points) > len(data) {
-				t.Fatalf("v1 decoder produced %d points from %d input bytes", len(s.Points), len(data))
-			}
+		if err := DecodeRecord(data, &s); err == nil && len(s.Points) > len(data) {
+			t.Fatalf("record decoder produced %d points from %d input bytes", len(s.Points), len(data))
+		}
+		if v, err := PeekHello(bufio.NewReader(bytes.NewReader(data))); err == nil && v < ProtocolV2 {
+			t.Fatalf("hello reader accepted version %d", v)
 		}
 
 		bdec := NewBatchDecoder(bufio.NewReader(bytes.NewReader(data)))

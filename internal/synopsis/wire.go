@@ -14,9 +14,7 @@ import (
 
 // Protocol v2 — the batched, interning wire format (DESIGN §15).
 //
-// v1 framing is one `uvarint len | body` record per synopsis. v2 is
-// negotiated per connection by a client hello and groups records into batch
-// frames:
+// Every connection opens with a client hello, then carries batch frames:
 //
 //	uvarint frameLen | byte kind | uvarint n | n × record
 //
@@ -40,28 +38,22 @@ import (
 // replaying spilled records after an outage) needs no resynchronization
 // protocol.
 //
-// Hello negotiation: a v2 client opens with
+// Hello: the client opens with
 //
 //	uvarint helloMagic | uvarint maxVersion | uvarint flags
 //
 // and waits for the server's ack (same three fields, version = chosen). The
-// magic is deliberately larger than maxRecordSize: a pre-v2 server reads it
-// as an oversized v1 record length and drops the connection at once, which
-// is the client's downgrade signal (redial speaking v1). A v1 client never
-// sends a hello; a v2 server distinguishes the two by peeking at the first
-// uvarint — v2 is therefore silent toward v1 clients, preserving the
-// strictly one-way property old peers rely on.
+// hello is required: a server drops a stream that does not open with the
+// magic, or that offers a version below 2. The version field stays so a
+// future v3 can negotiate; after the ack the stream is strictly one-way.
 
 const (
-	// ProtocolV1 is the original per-record framing.
-	ProtocolV1 = 1
 	// ProtocolV2 is the batched framing with header interning.
 	ProtocolV2 = 2
 	// MaxProtocolVersion is the newest protocol this build speaks.
 	MaxProtocolVersion = ProtocolV2
 
-	// helloMagic opens a client hello. It must exceed maxRecordSize so v1
-	// servers reject it (and hang up) instead of waiting for a giant record.
+	// helloMagic opens every hello and hello ack ("SAAD").
 	helloMagic = 0x53414144 // "SAAD"
 
 	// maxFrameSize bounds one v2 batch frame (corrupt length prefixes must
@@ -107,68 +99,54 @@ func AppendHelloAck(dst []byte, version int) []byte {
 }
 
 // ReadHelloAck reads the server's hello ack and returns the chosen
-// protocol version.
+// protocol version, which must be one this build speaks.
 func ReadHelloAck(r io.ByteReader) (int, error) {
-	magic, err := binary.ReadUvarint(r)
+	ver, err := readHello(r, "hello ack")
 	if err != nil {
-		return 0, fmt.Errorf("synopsis: read hello ack: %w", err)
+		return 0, err
 	}
-	if magic != helloMagic {
-		return 0, fmt.Errorf("%w: ack magic %#x", ErrBadHello, magic)
-	}
-	ver, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("synopsis: read hello ack version: %w", err)
-	}
-	if _, err := binary.ReadUvarint(r); err != nil { // flags (reserved)
-		return 0, fmt.Errorf("synopsis: read hello ack flags: %w", err)
-	}
-	if ver == 0 || ver > MaxProtocolVersion {
-		return 0, fmt.Errorf("%w: ack version %d", ErrBadHello, ver)
+	if ver > MaxProtocolVersion {
+		return 0, fmt.Errorf("%w: hello ack version %d", ErrBadHello, ver)
 	}
 	return int(ver), nil
 }
 
-// PeekHello inspects the start of a freshly accepted stream without
-// consuming v1 bytes. It returns (maxVersion, true, nil) after consuming a
-// client hello, or (0, false, nil) when the peer opened with v1 framing
-// (nothing consumed). An error is a read failure surfaced to the caller
-// unchanged (timeout, EOF, ...).
-//
-// The discrimination is cheap and exact: a v1 record length below
-// maxRecordSize encodes in at most 3 uvarint bytes, while helloMagic needs
-// 5, and the first byte of the magic has the continuation bit set — so one
-// peeked byte settles most streams and five settle all of them.
-func PeekHello(br *bufio.Reader) (int, bool, error) {
-	first, err := br.Peek(1)
+// PeekHello reads the client hello that must open every stream and returns
+// the version to serve: the newest the client speaks, capped at
+// MaxProtocolVersion. A stream that does not open with the magic, or whose
+// hello offers a version below 2, fails with ErrBadHello. A read failure
+// (timeout, EOF, ...) is returned unchanged.
+func PeekHello(r io.ByteReader) (int, error) {
+	ver, err := readHello(r, "hello")
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
-	if first[0]&0x80 == 0 {
-		return 0, false, nil // short v1 record length; cannot be the magic
-	}
-	head, err := br.Peek(binary.MaxVarintLen32)
-	if err != nil && len(head) == 0 {
-		return 0, false, err
-	}
-	v, n := binary.Uvarint(head)
-	if n <= 0 || v != helloMagic {
-		return 0, false, nil // v1 record with a long length prefix
-	}
-	if _, err := br.Discard(n); err != nil {
-		return 0, false, err
-	}
-	maxVer, err := binary.ReadUvarint(br)
+	return int(min(ver, MaxProtocolVersion)), nil
+}
+
+// readHello reads one hello or hello ack (what names which, for errors)
+// and returns its version, at least ProtocolV2. An error reading the magic
+// is returned unchanged so callers can tell a timeout or EOF from a bad
+// peer.
+func readHello(r io.ByteReader, what string) (uint64, error) {
+	magic, err := binary.ReadUvarint(r)
 	if err != nil {
-		return 0, false, fmt.Errorf("synopsis: read hello version: %w", err)
+		return 0, err
 	}
-	if _, err := binary.ReadUvarint(br); err != nil { // flags (reserved)
-		return 0, false, fmt.Errorf("synopsis: read hello flags: %w", err)
+	if magic != helloMagic {
+		return 0, fmt.Errorf("%w: %s magic %#x", ErrBadHello, what, magic)
 	}
-	if maxVer == 0 {
-		return 0, false, fmt.Errorf("%w: hello version 0", ErrBadHello)
+	ver, err := binary.ReadUvarint(r)
+	if err != nil {
+		return 0, fmt.Errorf("synopsis: read %s version: %w", what, err)
 	}
-	return int(maxVer), true, nil
+	if _, err := binary.ReadUvarint(r); err != nil { // flags (reserved)
+		return 0, fmt.Errorf("synopsis: read %s flags: %w", what, err)
+	}
+	if ver < ProtocolV2 {
+		return 0, fmt.Errorf("%w: %s version %d", ErrBadHello, what, ver)
+	}
+	return ver, nil
 }
 
 // internKey is one (stage, host) group header.
@@ -294,10 +272,9 @@ func (e *BatchEncoder) AppendFrames(dst []byte, batch []*Synopsis) []byte {
 }
 
 // BatchDecoder reads v2 batch frames from a stream, mirroring the
-// encoder's intern table. Decode has the same contract as Decoder.Decode —
-// one synopsis per call, io.EOF at a clean frame boundary end of stream —
-// so both protocol versions feed the same receive loop. Not safe for
-// concurrent use.
+// encoder's intern table. Decode yields one synopsis per call and io.EOF
+// at a clean end of stream on a frame boundary. Not safe for concurrent
+// use.
 type BatchDecoder struct {
 	r      *bufio.Reader
 	groups []internKey // decoder-side intern table
@@ -311,8 +288,8 @@ type BatchDecoder struct {
 }
 
 // NewBatchDecoder returns a decoder reading v2 frames from br. The caller
-// hands over the buffered reader it used for hello detection so no
-// buffered bytes are lost.
+// hands over the buffered reader it read the hello from so no buffered
+// bytes are lost.
 func NewBatchDecoder(br *bufio.Reader) *BatchDecoder {
 	return &BatchDecoder{r: br}
 }

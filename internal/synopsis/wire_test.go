@@ -227,12 +227,17 @@ func TestBatchDecoderCorruptInputs(t *testing.T) {
 func TestHelloRoundTrip(t *testing.T) {
 	hello := AppendHello(nil, MaxProtocolVersion)
 	br := bufio.NewReader(bytes.NewReader(hello))
-	maxVer, ok, err := PeekHello(br)
-	if err != nil || !ok || maxVer != MaxProtocolVersion {
-		t.Fatalf("PeekHello = (%d, %v, %v), want (%d, true, nil)", maxVer, ok, err, MaxProtocolVersion)
+	maxVer, err := PeekHello(br)
+	if err != nil || maxVer != MaxProtocolVersion {
+		t.Fatalf("PeekHello = (%d, %v), want (%d, nil)", maxVer, err, MaxProtocolVersion)
 	}
 	if _, err := br.ReadByte(); !errors.Is(err, io.EOF) {
 		t.Fatalf("hello not fully consumed: %v", err)
+	}
+	// A newer client is served the newest version this build speaks.
+	newer := AppendHello(nil, MaxProtocolVersion+1)
+	if v, err := PeekHello(bufio.NewReader(bytes.NewReader(newer))); err != nil || v != MaxProtocolVersion {
+		t.Fatalf("PeekHello(newer client) = (%d, %v), want (%d, nil)", v, err, MaxProtocolVersion)
 	}
 
 	ack := AppendHelloAck(nil, ProtocolV2)
@@ -242,39 +247,30 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPeekHelloPassesV1 proves hello detection never consumes (or
-// misclassifies) a legacy stream, including records with multi-byte length
-// prefixes.
-func TestPeekHelloPassesV1(t *testing.T) {
+// TestHelloRequired: a stream that opens with a bare record (short or
+// multi-byte length prefix) instead of the hello, or whose hello or ack
+// names a version below 2, is rejected with ErrBadHello.
+func TestHelloRequired(t *testing.T) {
 	big := sampleSynopsis(9)
 	for i := 0; i < 40; i++ { // push the record length past 128 bytes
 		big.Points = append(big.Points, PointCount{Point: logpoint.ID(300 + i*3), Count: 2})
 	}
 	big.Normalize()
-	for _, s := range []*Synopsis{sampleSynopsis(1), big} {
-		wire := AppendRecord(nil, s)
-		br := bufio.NewReader(bytes.NewReader(wire))
-		_, ok, err := PeekHello(br)
-		if err != nil || ok {
-			t.Fatalf("PeekHello on v1 stream = (%v, %v), want (false, nil)", ok, err)
+	for name, wire := range map[string][]byte{
+		"short-record":   AppendRecord(nil, sampleSynopsis(1)),
+		"long-record":    AppendRecord(nil, big),
+		"hello-version1": AppendHello(nil, 1),
+		"hello-version0": AppendHello(nil, 0),
+	} {
+		if _, err := PeekHello(bufio.NewReader(bytes.NewReader(wire))); !errors.Is(err, ErrBadHello) {
+			t.Errorf("%s: PeekHello err = %v, want ErrBadHello", name, err)
 		}
-		dec := NewDecoder(br)
-		var got Synopsis
-		if err := dec.Decode(&got); err != nil {
-			t.Fatalf("v1 decode after peek: %v", err)
-		}
-		assertEqualSynopsis(t, 0, &got, s)
 	}
-}
-
-// TestHelloRejectedByV1Decoder pins the downgrade signal: a legacy server
-// reading a hello must fail with ErrRecordTooLarge, not hang or misparse.
-func TestHelloRejectedByV1Decoder(t *testing.T) {
-	hello := AppendHello(nil, MaxProtocolVersion)
-	dec := NewDecoder(bytes.NewReader(hello))
-	var s Synopsis
-	if err := dec.Decode(&s); !errors.Is(err, ErrRecordTooLarge) {
-		t.Fatalf("v1 decoder on hello: got %v, want ErrRecordTooLarge", err)
+	for _, v := range []int{0, 1, MaxProtocolVersion + 1} {
+		ack := AppendHelloAck(nil, v)
+		if _, err := ReadHelloAck(bufio.NewReader(bytes.NewReader(ack))); !errors.Is(err, ErrBadHello) {
+			t.Errorf("ack version %d: err = %v, want ErrBadHello", v, err)
+		}
 	}
 }
 
